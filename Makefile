@@ -1,7 +1,7 @@
 # Convenience targets for the Hermes reproduction.
 
-.PHONY: install test bench perf perf-check sweep-check check prequal \
-    splice fleet fuzz examples experiments clean
+.PHONY: install test bench perf perf-check perfbench-gate sweep-check check \
+    prequal splice fleet fuzz examples experiments clean
 
 install:
 	pip install -e .
@@ -26,6 +26,16 @@ perf:
 perf-check:
 	PYTHONPATH=src python -m repro perf --quick \
 	    --out BENCH_perf.ci.json --check BENCH_perf.json
+
+# The repo benchmark's correctness gate on every workload (what the CI
+# perfbench-gate job runs): a short traced run per workload, which fails on
+# a ledger or byte-identity error, a counter cross-check mismatch or a
+# stray reference to a wrapped entry point.
+perfbench-gate:
+	for w in hermes_highcps exclusive_longlived fleet_checked; do \
+	    python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 \
+	        --trace 1 || exit 1; \
+	done
 
 # The sweep contract on a reduced Table-3 grid: parallel output must be
 # byte-identical to serial (what the CI sweep-smoke job checks).

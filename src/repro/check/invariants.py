@@ -181,8 +181,12 @@ class InvariantMonitor:
         """Evaluate every invariant against the current live state."""
         self.ticks += 1
         self._check_clock()
-        self._check_conservation()
-        self._check_bitmap_wst()
+        # Two checks compare against each worker's live client connections;
+        # count them once per tick (nothing between the checks writes).
+        client_conns = {worker.worker_id: self._client_conns(worker)
+                        for worker in self.server.workers}
+        self._check_conservation(client_conns)
+        self._check_bitmap_wst(client_conns)
         self._check_lost_wakeup()
         self._check_prequal()
         self._check_splice()
@@ -210,7 +214,7 @@ class InvariantMonitor:
                     return
         self._passed("clock")
 
-    def _check_conservation(self) -> None:
+    def _check_conservation(self, client_conns: Dict[int, int]) -> None:
         from ..lb.dispatcher import DispatcherWorker
 
         total_accepted = 0
@@ -221,7 +225,7 @@ class InvariantMonitor:
                 # The dispatcher accepts on behalf of its backends; its
                 # own ledger is the backends', checked separately.
                 continue
-            in_flight = self._client_conns(worker)
+            in_flight = client_conns[worker.worker_id]
             closed = worker.metrics.closed
             resets = self._resets.get(worker.worker_id, 0)
             if accepted != closed + in_flight + resets:
@@ -240,7 +244,7 @@ class InvariantMonitor:
             return
         self._passed("conservation")
 
-    def _check_bitmap_wst(self) -> None:
+    def _check_bitmap_wst(self, client_conns: Dict[int, int]) -> None:
         server = self.server
         if not server.groups:
             self._passed("bitmap_wst")
@@ -267,13 +271,13 @@ class InvariantMonitor:
                 if (worker.is_alive
                         and worker.worker_id not in self._crashed_ever):
                     _t, _events, wst_conns = group.wst.read_worker(rank)
-                    client_conns = self._client_conns(worker)
-                    if wst_conns != client_conns:
+                    held = client_conns[worker.worker_id]
+                    if wst_conns != held:
                         self._violate(
                             "bitmap_wst",
                             f"group {group.group_id}: WST conn column of "
                             f"rank {rank} is {wst_conns}, worker "
-                            f"{worker.worker_id} holds {client_conns}")
+                            f"{worker.worker_id} holds {held}")
                         return
         self._passed("bitmap_wst")
 

@@ -88,12 +88,14 @@ class PccMonitor:
     # -- the invariants ---------------------------------------------------
     def check_now(self) -> None:
         self.ticks += 1
-        self._check_pcc()
-        self._check_routing()
+        # Both checks read the same live set: nothing between them writes.
+        live = self.fleet.live_records()
+        self._check_pcc(live)
+        self._check_routing(live)
 
-    def _check_pcc(self) -> None:
+    def _check_pcc(self, live: List) -> None:
         fleet = self.fleet
-        for record in fleet.live_records():
+        for record in live:
             expected = fleet.expected_backend(record)
             if expected is None:
                 self._violate(
@@ -112,10 +114,10 @@ class PccMonitor:
                 return
         self._passed("pcc")
 
-    def _check_routing(self) -> None:
-        fleet = self.fleet
-        for record in fleet.live_records():
-            device = fleet.cluster.device_for(record.conn)
+    def _check_routing(self, live: List) -> None:
+        cluster = self.fleet.cluster
+        for record in live:
+            device = cluster.device_for(record.conn)
             if device is None:
                 continue  # connection refused before the cluster pinned it
             if device.name != record.instance_name:

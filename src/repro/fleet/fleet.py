@@ -328,14 +328,9 @@ class Fleet:
     # -- PCC audit surface (consumed by repro.check.PccMonitor) --------------
     def live_records(self) -> List[FlowRecord]:
         """Records whose PCC contract is currently enforceable."""
-        out = []
-        for record in self.records.values():
-            if record.broken_reason is not None:
-                continue
-            if record.conn.state in _DEAD_STATES:
-                continue
-            out.append(record)
-        return out
+        return [record for record in self.records.values()
+                if record.broken_reason is None
+                and record.conn.state not in _DEAD_STATES]
 
     def expected_backend(self, record: FlowRecord) -> Optional[int]:
         """What the lookup policy answers *now* for a record's connection."""

@@ -99,11 +99,22 @@ class BackendMap:
         return self.version
 
     def backend_for(self, flow_hash: int, version: Optional[int] = None) -> int:
-        """Resolve a flow hash under a version (default: current)."""
+        """Resolve a flow hash under a version (default: current).
+
+        A stamp outside the published versions raises :class:`ValueError`:
+        silently resolving it (``-1`` would index the newest table) could
+        hide a corrupted ``FlowRecord.version`` from the PCC check.
+        """
+        tables = self._tables
         if version is None:
-            version = self.version
-        table = self._tables[version]
-        return table[reciprocal_scale(flow_hash, self.n_slots)]
+            version = len(tables) - 1
+        elif not 0 <= version < len(tables):
+            raise self._bad_version(version)
+        return tables[version][reciprocal_scale(flow_hash, self.n_slots)]
+
+    def _bad_version(self, version) -> ValueError:
+        return ValueError(f"version stamp {version!r} outside the published "
+                          f"range [0, {self.version}]")
 
     def slot_of(self, flow_hash: int) -> int:
         return reciprocal_scale(flow_hash, self.n_slots)
@@ -136,8 +147,17 @@ class StatelessLookup:
 
     def resolve(self, four_tuple: FourTuple, instance_name: str,
                 conn_id: int, version: int) -> Optional[int]:
-        return self.backend_map.backend_for(self.flow_hash(four_tuple),
-                                            version)
+        # ``backend_for(flow_hash(four_tuple), version)``, flattened: the
+        # PCC monitor re-resolves every live connection on every tick.
+        # ``reciprocal_scale`` is inlined (a jhash is already 32-bit and
+        # ``n_slots >= 1``); the version rule is ``backend_for``'s.
+        backend_map = self.backend_map
+        tables = backend_map._tables
+        if not 0 <= version < len(tables):
+            raise backend_map._bad_version(version)
+        return tables[version][
+            (jhash_4tuple(four_tuple, self.hash_seed) * backend_map.n_slots)
+            >> 32]
 
     def drop_instance(self, instance_name: str) -> int:
         """An instance died: nothing to lose.  Returns entries lost (0)."""

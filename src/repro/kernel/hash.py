@@ -36,49 +36,13 @@ class FourTuple(NamedTuple):
         return FourTuple(self.dst_ip, self.dst_port, self.src_ip, self.src_port)
 
 
-def _rol32(value: int, bits: int) -> int:
-    value &= _MASK32
-    return ((value << bits) | (value >> (32 - bits))) & _MASK32
-
-
-def _jhash_mix(a: int, b: int, c: int) -> tuple[int, int, int]:
-    a = (a - c) & _MASK32
-    a ^= _rol32(c, 4)
-    c = (c + b) & _MASK32
-    b = (b - a) & _MASK32
-    b ^= _rol32(a, 6)
-    a = (a + c) & _MASK32
-    c = (c - b) & _MASK32
-    c ^= _rol32(b, 8)
-    b = (b + a) & _MASK32
-    a = (a - c) & _MASK32
-    a ^= _rol32(c, 16)
-    c = (c + b) & _MASK32
-    b = (b - a) & _MASK32
-    b ^= _rol32(a, 19)
-    a = (a + c) & _MASK32
-    c = (c - b) & _MASK32
-    c ^= _rol32(b, 4)
-    b = (b + a) & _MASK32
-    return a, b, c
-
-
-def _jhash_final(a: int, b: int, c: int) -> int:
-    c ^= b
-    c = (c - _rol32(b, 14)) & _MASK32
-    a ^= c
-    a = (a - _rol32(c, 11)) & _MASK32
-    b ^= a
-    b = (b - _rol32(a, 25)) & _MASK32
-    c ^= b
-    c = (c - _rol32(b, 16)) & _MASK32
-    a ^= c
-    a = (a - _rol32(c, 4)) & _MASK32
-    b ^= a
-    b = (b - _rol32(a, 14)) & _MASK32
-    c ^= b
-    c = (c - _rol32(b, 24)) & _MASK32
-    return c
+# The rotates below are spelled out (``rol32(x, k)`` is
+# ``((x << k) | (x >> (32 - k))) & _MASK32``) rather than called: these two
+# functions run several times per simulated connection, and on the armed
+# fleet the per-call Python overhead of helper calls dominated the hash.
+# In the final mix, ``(x - rol32(y, k)) & _MASK32`` drops the rotate's own
+# mask: the bits it would clear sit at 2**32 and above, which the outer
+# mask clears anyway.
 
 
 def jhash_words(words: list[int], initval: int = 0) -> int:
@@ -90,29 +54,78 @@ def jhash_words(words: list[int], initval: int = 0) -> int:
         a = (a + words[index]) & _MASK32
         b = (b + words[index + 1]) & _MASK32
         c = (c + words[index + 2]) & _MASK32
-        a, b, c = _jhash_mix(a, b, c)
+        # __jhash_mix
+        a = (a - c) & _MASK32
+        a ^= ((c << 4) | (c >> 28)) & _MASK32
+        c = (c + b) & _MASK32
+        b = (b - a) & _MASK32
+        b ^= ((a << 6) | (a >> 26)) & _MASK32
+        a = (a + c) & _MASK32
+        c = (c - b) & _MASK32
+        c ^= ((b << 8) | (b >> 24)) & _MASK32
+        b = (b + a) & _MASK32
+        a = (a - c) & _MASK32
+        a ^= ((c << 16) | (c >> 16)) & _MASK32
+        c = (c + b) & _MASK32
+        b = (b - a) & _MASK32
+        b ^= ((a << 19) | (a >> 13)) & _MASK32
+        a = (a + c) & _MASK32
+        c = (c - b) & _MASK32
+        c ^= ((b << 4) | (b >> 28)) & _MASK32
+        b = (b + a) & _MASK32
         index += 3
         length -= 3
+    if length == 0:
+        return c
     if length == 3:
         c = (c + words[index + 2]) & _MASK32
     if length >= 2:
         b = (b + words[index + 1]) & _MASK32
-    if length >= 1:
-        a = (a + words[index]) & _MASK32
-        c = _jhash_final(a, b, c)
-    return c & _MASK32
+    a = (a + words[index]) & _MASK32
+    # __jhash_final
+    c ^= b
+    c = (c - ((b << 14) | (b >> 18))) & _MASK32
+    a ^= c
+    a = (a - ((c << 11) | (c >> 21))) & _MASK32
+    b ^= a
+    b = (b - ((a << 25) | (a >> 7))) & _MASK32
+    c ^= b
+    c = (c - ((b << 16) | (b >> 16))) & _MASK32
+    a ^= c
+    a = (a - ((c << 4) | (c >> 28))) & _MASK32
+    b ^= a
+    b = (b - ((a << 14) | (a >> 18))) & _MASK32
+    c ^= b
+    return (c - ((b << 24) | (b >> 8))) & _MASK32
 
 
 def jhash_4tuple(four_tuple: FourTuple, initval: int = 0) -> int:
     """32-bit flow hash of a 4-tuple, as the kernel computes for reuseport.
 
     Ports are packed into one word like ``inet_ehashfn`` packs sport/dport.
+    Equal to ``jhash_words([src_ip, dst_ip, ports], initval)``, unrolled:
+    three words take no mix round, only the final one.
     """
-    ports = ((four_tuple.src_port & 0xFFFF) << 16) | (four_tuple.dst_port & 0xFFFF)
-    return jhash_words(
-        [four_tuple.src_ip & _MASK32, four_tuple.dst_ip & _MASK32, ports],
-        initval,
-    )
+    src_ip, src_port, dst_ip, dst_port = four_tuple
+    c = (JHASH_INITVAL + 12 + initval) & _MASK32
+    a = (c + src_ip) & _MASK32
+    b = (c + dst_ip) & _MASK32
+    c = (c + (((src_port & 0xFFFF) << 16) | (dst_port & 0xFFFF))) & _MASK32
+    # __jhash_final
+    c ^= b
+    c = (c - ((b << 14) | (b >> 18))) & _MASK32
+    a ^= c
+    a = (a - ((c << 11) | (c >> 21))) & _MASK32
+    b ^= a
+    b = (b - ((a << 25) | (a >> 7))) & _MASK32
+    c ^= b
+    c = (c - ((b << 16) | (b >> 16))) & _MASK32
+    a ^= c
+    a = (a - ((c << 4) | (c >> 28))) & _MASK32
+    b ^= a
+    b = (b - ((a << 14) | (a >> 18))) & _MASK32
+    c ^= b
+    return (c - ((b << 24) | (b >> 8))) & _MASK32
 
 
 def reciprocal_scale(value: int, ep_ro: int) -> int:

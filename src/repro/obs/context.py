@@ -17,7 +17,6 @@ without yielding inside one worker-loop iteration.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 __all__ = ["TraceContext"]
@@ -37,15 +36,15 @@ class TraceContext:
 
     def push(self, worker: Optional[int] = None, conn: Optional[int] = None,
              request: Optional[int] = None) -> None:
-        top = self._stack[-1] if self._stack else {}
-        frame = dict(top)
+        stack = self._stack
+        frame = dict(stack[-1]) if stack else {}
         if worker is not None:
             frame["worker"] = worker
         if conn is not None:
             frame["conn"] = conn
         if request is not None:
             frame["request"] = request
-        self._stack.append(frame)
+        stack.append(frame)
 
     def pop(self) -> None:
         self._stack.pop()
@@ -59,12 +58,36 @@ class TraceContext:
     def depth(self) -> int:
         return len(self._stack)
 
-    @contextmanager
     def scope(self, worker: Optional[int] = None, conn: Optional[int] = None,
-              request: Optional[int] = None):
-        """``with ctx.scope(conn=cid): ...`` — push/pop around a call chain."""
-        self.push(worker=worker, conn=conn, request=request)
-        try:
-            yield self
-        finally:
-            self.pop()
+              request: Optional[int] = None) -> "_Scope":
+        """``with ctx.scope(conn=cid): ...`` — push/pop around a call chain.
+
+        The frame is pushed on ``__enter__`` (not here) and popped on
+        ``__exit__``, also when the body raises; ``as`` binds the context.
+        """
+        return _Scope(self, worker, conn, request)
+
+
+class _Scope:
+    """The context manager :meth:`TraceContext.scope` returns.
+
+    A plain class rather than a ``@contextmanager`` generator: it runs on
+    every traced SYN, request delivery and scheduler run.
+    """
+
+    __slots__ = ("_ctx", "_worker", "_conn", "_request")
+
+    def __init__(self, ctx: TraceContext, worker: Optional[int],
+                 conn: Optional[int], request: Optional[int]) -> None:
+        self._ctx = ctx
+        self._worker = worker
+        self._conn = conn
+        self._request = request
+
+    def __enter__(self) -> TraceContext:
+        ctx = self._ctx
+        ctx.push(self._worker, self._conn, self._request)
+        return ctx
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._ctx._stack.pop()

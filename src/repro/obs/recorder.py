@@ -53,6 +53,7 @@ class FlightRecorder:
         return len(self._ring)
 
     def record(self, event: TraceEvent) -> None:
+        # Tracer emission inlines these two lines; keep them in step.
         self._ring.append(event)
         self.total_recorded += 1
 

@@ -83,6 +83,48 @@ class TraceEvent:
                 f"t={self.ts:.6f} {ids}>")
 
 
+def _emitter(method: str, phase: str, doc: str):
+    """Build the ``Tracer`` method ``method``, which emits ``phase`` events.
+
+    ``instant``, ``begin`` and ``end`` differ only in the phase tag; each
+    is its own function that merges the context ids, stamps the clock and
+    records the event in one pass, with no helper call in between.  The
+    clock is read through its public ``.now`` (tests pass fake clocks).
+    """
+    def emit(self, name: str, cat: str = CAT_WORKER,
+             worker: Optional[int] = None, conn: Optional[int] = None,
+             request: Optional[int] = None,
+             **fields: Any) -> Optional[TraceEvent]:
+        if not self.enabled:
+            self.dropped += 1
+            return None
+        stack = self.ctx._stack
+        if stack:
+            top = stack[-1]
+            if worker is None:
+                worker = top.get("worker")
+            if conn is None:
+                conn = top.get("conn")
+            if request is None:
+                request = top.get("request")
+        env = self._env
+        event = TraceEvent(next(self._seq),
+                           env.now if env is not None else 0.0, name, cat,
+                           phase, worker, conn, request, fields or None)
+        if self.keep_events:
+            self.events.append(event)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder._ring.append(event)
+            recorder.total_recorded += 1
+        return event
+
+    emit.__name__ = method
+    emit.__qualname__ = f"Tracer.{method}"
+    emit.__doc__ = doc
+    return emit
+
+
 class Tracer:
     """Collects :class:`TraceEvent` objects stamped with ``env.now``.
 
@@ -137,49 +179,11 @@ class Tracer:
         return rid
 
     # -- emission ----------------------------------------------------------
-    def _emit(self, name: str, cat: str, phase: str,
-              worker: Optional[int], conn: Optional[int],
-              request: Optional[int],
-              fields: Optional[Dict[str, Any]]) -> Optional[TraceEvent]:
-        if not self.enabled:
-            self.dropped += 1
-            return None
-        ctx = self.ctx.current
-        if ctx:
-            if worker is None:
-                worker = ctx.get("worker")
-            if conn is None:
-                conn = ctx.get("conn")
-            if request is None:
-                request = ctx.get("request")
-        event = TraceEvent(next(self._seq), self.now, name, cat, phase,
-                           worker, conn, request, fields or None)
-        if self.keep_events:
-            self.events.append(event)
-        if self.recorder is not None:
-            self.recorder.record(event)
-        return event
-
-    def instant(self, name: str, cat: str = CAT_WORKER,
-                worker: Optional[int] = None, conn: Optional[int] = None,
-                request: Optional[int] = None,
-                **fields: Any) -> Optional[TraceEvent]:
-        """Emit a point-in-time event."""
-        return self._emit(name, cat, "i", worker, conn, request, fields)
-
-    def begin(self, name: str, cat: str = CAT_WORKER,
-              worker: Optional[int] = None, conn: Optional[int] = None,
-              request: Optional[int] = None,
-              **fields: Any) -> Optional[TraceEvent]:
-        """Open a span (matched by ``end`` with the same name/ids)."""
-        return self._emit(name, cat, "B", worker, conn, request, fields)
-
-    def end(self, name: str, cat: str = CAT_WORKER,
-            worker: Optional[int] = None, conn: Optional[int] = None,
-            request: Optional[int] = None,
-            **fields: Any) -> Optional[TraceEvent]:
-        """Close the innermost open span with this name."""
-        return self._emit(name, cat, "E", worker, conn, request, fields)
+    instant = _emitter("instant", "i", "Emit a point-in-time event.")
+    begin = _emitter("begin", "B", "Open a span (matched by ``end`` with "
+                                   "the same name/ids).")
+    end = _emitter("end", "E", "Close the innermost open span with this "
+                               "name.")
 
     @contextmanager
     def span(self, name: str, cat: str = CAT_WORKER,

@@ -59,6 +59,20 @@ class TestBackendMap:
             if new_table[slot] != old_table[slot]:
                 assert new_table[slot] == 4
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_version_outside_published_range(self, bad):
+        # -1 would index the newest table; version + 1 does not exist.
+        bmap = BackendMap([0, 1, 2, 3])
+        bmap.update([0, 1, 2])
+        with pytest.raises(ValueError, match=rf"{bad}.*\[0, 1\]"):
+            bmap.backend_for(12345, bad)
+
+    def test_accepts_every_published_version(self):
+        bmap = BackendMap([0, 1, 2, 3])
+        bmap.update([0, 1, 2])
+        for version in (0, 1, None):
+            assert bmap.backend_for(12345, version) in (0, 1, 2, 3)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BackendMap([])
@@ -87,6 +101,24 @@ class TestStatelessLookup:
         backend, version = lookup.assign(ft, "lb0", conn_id=1)
         bmap.update([0, 1])
         assert lookup.resolve(ft, "lb0", 1, version) == backend
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_resolve_rejects_version_outside_published_range(self, bad):
+        # The flattened resolve enforces backend_for's version rule.
+        bmap = BackendMap([0, 1, 2, 3])
+        lookup = StatelessLookup(bmap)
+        bmap.update([0, 1])
+        with pytest.raises(ValueError, match=rf"{bad}.*\[0, 1\]"):
+            lookup.resolve(_flow(3), "lb0", 3, bad)
+
+    @given(st.integers(min_value=0, max_value=500))
+    def test_resolve_equals_backend_for_of_flow_hash(self, i):
+        bmap = BackendMap([0, 1, 2, 3], n_slots=97)
+        lookup = StatelessLookup(bmap, hash_seed=7)
+        bmap.update([1, 2, 5])
+        for version in (0, 1):
+            assert lookup.resolve(_flow(i), "lb0", i, version) == \
+                bmap.backend_for(lookup.flow_hash(_flow(i)), version)
 
     def test_drop_instance_loses_nothing(self):
         lookup = StatelessLookup(BackendMap([0, 1]))

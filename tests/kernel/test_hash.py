@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.check.oracles import ref_jhash_4tuple, ref_jhash_words
 from repro.kernel import FourTuple, jhash_4tuple, jhash_words, reciprocal_scale
+
+words32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+ports16 = st.integers(min_value=0, max_value=0xFFFF)
 
 
 def _tuple(i=0):
@@ -46,6 +50,71 @@ class TestJhash:
                     max_size=12))
     def test_always_32bit(self, words):
         assert 0 <= jhash_words(words) <= 0xFFFFFFFF
+
+
+def _words(n):
+    """``n`` distinct golden-ratio-spaced 32-bit words."""
+    return [(0x9E3779B9 * (i + 1) + n) & 0xFFFFFFFF for i in range(n)]
+
+
+#: Known ``jhash2`` answers for ``_words(n)`` at initval 0 and 0x5eed, one
+#: row per length 0..7: every tail length (0-3) with and without a mix round.
+WORDS_KAT = [
+    (0, 0xDEADBEEF, 0xDEAE1DDC),
+    (1, 0x6FB3E302, 0xF01305FF),
+    (2, 0x3F6E90C9, 0x38CA4218),
+    (3, 0x97D07C72, 0x0E0046CE),
+    (4, 0x5BA35B34, 0x585A4ADE),
+    (5, 0x36013DF7, 0xB62FEC85),
+    (6, 0xE851957A, 0x2097957E),
+    (7, 0x83380A5F, 0x82ABF9E4),
+]
+
+_ONES = FourTuple(0xFFFFFFFF, 0xFFFF, 0xFFFFFFFF, 0xFFFF)
+_FLOW = FourTuple(0x0A000001, 40000, 0xC0A80001, 443)
+
+#: (four-tuple, initval, hash): all-ones words at the extreme initvals.
+TUPLE_KAT = [
+    (_ONES, 0, 0x6E0964A9),
+    (_ONES, 0x5EED, 0x898B1496),
+    (_ONES, 0xFFFFFFFF, 0xC343AF0B),
+    (_FLOW, 0, 0x535E3000),
+    (_FLOW, 0x5EED, 0xF4F3E669),
+    (_FLOW, 0xFFFFFFFF, 0x2AE21FD8),
+]
+
+
+class TestJhashKnownAnswers:
+    @pytest.mark.parametrize("n, want0, want_seeded", WORDS_KAT)
+    def test_jhash_words(self, n, want0, want_seeded):
+        assert jhash_words(_words(n)) == want0
+        assert jhash_words(_words(n), 0x5EED) == want_seeded
+
+    @pytest.mark.parametrize("four_tuple, initval, want", TUPLE_KAT)
+    def test_jhash_4tuple(self, four_tuple, initval, want):
+        assert jhash_4tuple(four_tuple, initval) == want
+
+    def test_4tuple_is_jhash2_of_packed_words(self):
+        for four_tuple, initval, want in TUPLE_KAT:
+            ports = (four_tuple.src_port << 16) | four_tuple.dst_port
+            words = [four_tuple.src_ip, four_tuple.dst_ip, ports]
+            assert jhash_words(words, initval) == want
+
+
+class TestJhashDifferential:
+    """The fast hashes against the independent transcription in
+    :mod:`repro.check.oracles`."""
+
+    @given(st.lists(words32, max_size=13), words32)
+    def test_words_match_reference(self, words, initval):
+        assert jhash_words(words, initval) == ref_jhash_words(words, initval)
+
+    @given(words32, ports16, words32, ports16, words32)
+    def test_4tuple_matches_reference(self, src_ip, src_port, dst_ip,
+                                      dst_port, initval):
+        four_tuple = FourTuple(src_ip, src_port, dst_ip, dst_port)
+        assert jhash_4tuple(four_tuple, initval) \
+            == ref_jhash_4tuple(four_tuple, initval)
 
 
 class TestReciprocalScale:

@@ -1,5 +1,7 @@
 """Tests for the tracer core: events, spans, context, zero-cost disable."""
 
+import pytest
+
 from repro.obs import CAT_KERNEL, CAT_WORKER, Tracer
 from repro.obs.context import TraceContext
 from repro.sim import Environment
@@ -142,6 +144,38 @@ class TestContext:
             with ctx.scope(conn=2):
                 assert ctx.current["conn"] == 2
             assert ctx.current["conn"] == 1
+
+    def test_scope_pushes_on_enter_not_on_call(self):
+        ctx = TraceContext()
+        scope = ctx.scope(conn=4)
+        assert ctx.depth == 0
+        with scope:
+            assert ctx.depth == 1
+            assert ctx.current == {"conn": 4}
+        assert ctx.depth == 0
+
+    def test_scope_enter_returns_the_context(self):
+        ctx = TraceContext()
+        with ctx.scope(worker=2) as entered:
+            assert entered is ctx
+
+    def test_nested_scopes_merge_ids_into_events(self):
+        tracer = Tracer(env=Clock())
+        with tracer.ctx.scope(worker=1):
+            with tracer.ctx.scope(conn=2, request=3):
+                inner = tracer.instant("x")
+            outer = tracer.instant("y")
+        assert (inner.worker, inner.conn, inner.request) == (1, 2, 3)
+        assert (outer.worker, outer.conn, outer.request) == (1, None, None)
+
+    def test_scope_pops_when_body_raises(self):
+        ctx = TraceContext()
+        with ctx.scope(worker=1):
+            with pytest.raises(KeyError, match="boom"):
+                with ctx.scope(conn=2):
+                    raise KeyError("boom")
+            assert ctx.current == {"worker": 1}
+        assert ctx.depth == 0
 
     def test_clear_resets_events(self):
         tracer = Tracer(env=Clock())

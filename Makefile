@@ -142,7 +142,7 @@ examples:
 	for f in examples/*.py; do echo "== $$f"; python "$$f"; done
 
 experiments:
-	python -m repro list-experiments
+	PYTHONPATH=src python -m repro list
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \

@@ -44,6 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..kernel.hash import FourTuple, jhash_words
+from ..kernel.socket import ListeningSocket
 from ..kernel.tcp import Connection, ConnState
 from ..sim.engine import Environment
 from ..sim.monitor import Samples
@@ -216,11 +217,13 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     check = payload.get("check", False)
     keep_trace = payload.get("keep_trace", False)
 
-    # Per-shard id namespaces restart at 1 so shard output is a pure
-    # function of the payload, not of whatever ran before in this
-    # process (jobs=1 runs every shard in the parent).
-    saved_ids = Connection._ids
+    # Per-shard id namespaces (connections and listening sockets) restart
+    # at 1 so shard output is a pure function of the payload, not of
+    # whatever ran before in this process (jobs=1 runs every shard in the
+    # parent).
+    saved_ids = Connection._ids, ListeningSocket._ids
     Connection._ids = itertools.count(1)
+    ListeningSocket._ids = itertools.count(1)
     try:
         env = Environment()
         registry = RngRegistry(seed)
@@ -298,7 +301,7 @@ def run_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
                 for e in tracer.events]
         return doc
     finally:
-        Connection._ids = saved_ids
+        Connection._ids, ListeningSocket._ids = saved_ids
 
 
 def merge_shards(shards: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -13,6 +13,7 @@ Both expose the polling interface epoll consumes: a ``wait_queue`` and a
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional
 
@@ -49,14 +50,13 @@ class ListeningSocket:
     group.
     """
 
-    _next_id = 0
+    _ids = itertools.count(1)
 
     def __init__(self, port: int, backlog: int = SOMAXCONN,
                  owner: Optional[object] = None,
                  rotate_on_wake: bool = False,
                  waiter_insertion: str = "head"):
-        ListeningSocket._next_id += 1
-        self.id = ListeningSocket._next_id
+        self.id = next(ListeningSocket._ids)
         self.port = port
         self.backlog = backlog
         #: The worker that owns this socket (reuseport mode), if dedicated.

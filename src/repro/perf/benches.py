@@ -29,7 +29,6 @@ from .harness import BenchResult, time_bench
 
 __all__ = [
     "bench_engine_throughput",
-    "bench_engine_wheel_throughput",
     "bench_condition_allof",
     "bench_schedule_callback",
     "bench_scheduler_cascade",
@@ -68,62 +67,6 @@ def bench_engine_throughput(quick: bool = False,
     return time_bench("engine_throughput", setup, run, unit="events",
                       repeats=repeats,
                       meta={"n_procs": n_procs, "events_per_proc": n_events})
-
-
-# ---------------------------------------------------------------------------
-# engine_wheel_throughput
-# ---------------------------------------------------------------------------
-
-def bench_engine_wheel_throughput(quick: bool = False,
-                                  repeats: int = 3) -> BenchResult:
-    """Timer wheel vs heap at fleet scale: 20k concurrent timer processes.
-
-    The wheel's O(1) slot insert pays off where the heap pays O(log n) —
-    large live populations — so this bench runs at 20000 processes (the
-    64-instance-fleet regime) rather than ``engine_throughput``'s 50.
-    Heap and wheel reps are interleaved within one process so frequency
-    drift on shared hosts hits both sides equally; the headline score is
-    the wheel's, with the live heap number and both speedup ratios in
-    the meta.
-    """
-    import time as _time
-
-    from ..sim.engine import Environment
-    from .baseline import PRE_PR_BASELINE
-
-    n_procs = 2000 if quick else 20000
-    n_events = 40 if quick else 75
-
-    def ticker(n):
-        for _ in range(n):
-            yield 1.0
-
-    def one(scheduler: str) -> float:
-        env = Environment(scheduler=scheduler)
-        for _ in range(n_procs):
-            env.process(ticker(n_events))
-        start = _time.perf_counter()
-        env.run()
-        return _time.perf_counter() - start
-
-    total = n_procs * n_events
-    best_heap = best_wheel = float("inf")
-    for _ in range(max(repeats, 2)):
-        best_heap = min(best_heap, one("heap"))
-        best_wheel = min(best_wheel, one("wheel"))
-    heap_ops = total / best_heap
-    wheel_ops = total / best_wheel
-    meta: Dict[str, Any] = {
-        "n_procs": n_procs, "events_per_proc": n_events,
-        "heap_ops_per_sec": round(heap_ops, 1),
-        "speedup_vs_heap": round(wheel_ops / heap_ops, 3),
-    }
-    pre = (PRE_PR_BASELINE.get("benches", {})
-           .get("engine_throughput", {}).get("ops_per_sec"))
-    if pre:
-        meta["speedup_vs_pre_pr_heap"] = round(wheel_ops / pre, 3)
-    return BenchResult(name="engine_wheel_throughput", ops=total,
-                       seconds=best_wheel, unit="events", meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,19 @@ class TestByteIdentity:
         assert json.dumps(first, sort_keys=True) \
             == json.dumps(again, sort_keys=True)
 
+    def test_trace_socket_ids_are_rerun_stable(self):
+        # Listening-socket ids (the ``socket`` field of reuseport.select
+        # events) restart per shard like connection ids, so a second run
+        # in the same process traces the same ids as the first.
+        def socket_ids():
+            doc = _doc(n_instances=2, seed=5, duration=0.5, keep_trace=True)
+            return [fields["socket"] for *_, fields in doc["events"]
+                    if "socket" in fields]
+
+        first = socket_ids()
+        assert first
+        assert socket_ids() == first
+
 
 class TestOwnership:
     def test_shards_partition_the_arrival_stream(self):

@@ -16,14 +16,13 @@ import json
 
 import repro.obs
 from repro.fleet.sharded import run_sharded_fleet
-from repro.kernel.socket import ListeningSocket
 
 #: SHA-256 of the JSON of each shard's ``FlightRecorder.dump()``.
 DUMP_SHA256 = (
     "9c3e10fc95e19e48b4de4e4a8ec1027403ecbb686cd38789d4da872d62ceb90a")
 #: SHA-256 of every slot of every event in each shard's ``Tracer.events``.
 EVENTS_SHA256 = (
-    "51fe01bb6347254b107ea165ce5799ad9dd5b817f14e0e8fc041bbae8f2d2a13")
+    "16aab3503a96c897dbf317467b3b39c5ab8f849daafa57e1674beebf3352a324")
 
 
 def _sha256(text: str) -> str:
@@ -39,10 +38,6 @@ def _run(monkeypatch, keep_trace: bool):
             tracers.append(self)
 
     monkeypatch.setattr(repro.obs, "Tracer", KeptTracer)
-    # Socket ids (a ``reuseport.select`` field) come from a process-wide
-    # counter that ``run_shard`` does not reset; start it where a fresh
-    # process does.
-    monkeypatch.setattr(ListeningSocket, "_next_id", 0)
     doc = run_sharded_fleet(n_instances=2, seed=5, duration=1.0,
                             conn_rate=120.0, churn_at=0.6, jobs=1,
                             check=True, keep_trace=keep_trace)

@@ -195,20 +195,9 @@ class TestHostMetadata:
 
 
 class TestNewBenches:
-    def test_wheel_and_sharded_registered_and_gated(self):
-        assert "engine_wheel_throughput" in BENCH_NAMES
+    def test_sharded_registered_and_gated(self):
         assert "fleet_sharded" in BENCH_NAMES
-        assert "engine_wheel_throughput" in GATED_BENCHES
         assert "fleet_sharded" in GATED_BENCHES
-
-    def test_engine_wheel_bench_quick(self):
-        results = run_benchmarks(quick=True,
-                                 only=["engine_wheel_throughput"], repeats=1)
-        result = results["engine_wheel_throughput"]
-        assert result.ops_per_sec > 0
-        assert result.meta["heap_ops_per_sec"] > 0
-        assert result.meta["speedup_vs_heap"] > 0
-        assert result.meta["speedup_vs_pre_pr_heap"] > 0
 
 
 class TestMakefileWiring:

@@ -1,7 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
-import pytest
+import gc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import engine
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -54,6 +59,22 @@ def test_run_backwards_rejected():
     env = Environment(initial_time=5)
     with pytest.raises(SimulationError):
         env.run(until=1)
+
+
+def test_nan_times_rejected():
+    # A NaN key at the head of the heap would end run() with events left.
+    env = Environment()
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        env.timeout(nan)
+    with pytest.raises(SimulationError):
+        env.schedule_callback(nan, lambda: None)
+    env.timeout(1.0)
+    env.run()
+    with pytest.raises(SimulationError):
+        env.timeout(nan)  # the pooled path
+    with pytest.raises(SimulationError):
+        env.run(until=nan)
 
 
 def test_events_fire_in_time_order():
@@ -512,3 +533,373 @@ def test_steps_counter_counts_dispatched_events():
     # Initialize + timeout + direct timer + process completion = 4 events.
     assert env.steps == 4
     assert p.ok
+
+
+# -- ordering: (time, priority, insertion order) ----------------------------
+
+@given(n=st.integers(min_value=2, max_value=60),
+       delay=st.sampled_from([0.0, 1e-6, 0.001, 0.25]))
+@settings(max_examples=25, deadline=None)
+def test_same_tick_collision_preserves_creation_order(n, delay):
+    env = Environment()
+    order = []
+
+    def stamp(i):
+        yield delay
+        order.append(i)
+
+    for i in range(n):
+        env.process(stamp(i))
+    env.run()
+    assert order == list(range(n))
+
+
+def test_same_tick_timers_fire_in_creation_order_known_answer():
+    env = Environment()
+    order = []
+
+    def stamp(i):
+        yield 0.005
+        order.append(i)
+
+    for i in range(50):
+        env.process(stamp(i))
+    env.run()
+    assert order == list(range(50))
+    # 50 Initialize + 50 timers + 50 process completions.
+    assert (env.now, env.steps) == (0.005, 150)
+
+
+@given(delays=st.lists(
+    st.floats(min_value=0.0, max_value=10.0,
+              allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_random_float_delays_pop_in_sorted_order(delays):
+    # Ties on the timestamp break by creation order.
+    env = Environment()
+    order = []
+
+    def sleeper(i, d):
+        yield d
+        order.append(i)
+
+    for i, d in enumerate(delays):
+        env.process(sleeper(i, d))
+    env.run()
+    assert order == sorted(range(len(delays)), key=lambda i: (delays[i], i))
+
+
+def test_interrupt_leaves_stale_direct_timer_entry_known_answer():
+    # The victim's timer entry at t=0.3 goes stale when it is interrupted
+    # at t=0.1; popping it still advances the clock and counts a step.
+    env = Environment()
+    log = []
+
+    def victim():
+        try:
+            yield 0.3
+            log.append("slept")
+        except Interrupt:
+            log.append("interrupted")
+            yield 0.05
+            log.append("resumed")
+
+    def killer(proc):
+        yield 0.1
+        proc.interrupt()
+
+    p = env.process(victim())
+    env.process(killer(p))
+    env.run()
+    assert log == ["interrupted", "resumed"]
+    # 2 Initialize + killer timer + interrupt + killer completion
+    # + victim timer + victim completion + the stale pop = 8 events.
+    assert (env.now, env.steps) == (0.3, 8)
+
+
+# -- free lists -------------------------------------------------------------
+
+def test_pool_limit_bounds_free_lists(monkeypatch):
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 4)
+    env = Environment()
+
+    def churn():
+        for _ in range(100):
+            yield env.timeout(0.001)
+            ev = env.event()
+            env.schedule_callback(0.0, ev.succeed)
+            yield ev
+
+    env.process(churn())
+    env.run()
+    assert 1 <= len(env._timeout_pool) <= 4
+    assert 1 <= len(env._event_pool) <= 4
+
+
+def test_zero_pool_limit_disables_pooling(monkeypatch):
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 0)
+    env = Environment()
+
+    def churn():
+        for _ in range(50):
+            yield env.timeout(0.001)
+
+    env.process(churn())
+    env.run()
+    assert env._event_pool == []
+    assert env._timeout_pool == []
+
+
+def test_pooled_events_are_scrubbed(monkeypatch):
+    # Tiny pools overflow to the GC; what stays pooled carries no value or
+    # callback from its previous life.
+    monkeypatch.setattr(engine, "_POOL_LIMIT", 2)
+    env = Environment()
+    values = []
+
+    def round_trip(tag):
+        for i in range(20):
+            values.append((yield env.timeout(0.001, value=(tag, i))))
+
+    env.process(round_trip("a"))
+    env.process(round_trip("b"))
+    env.run()
+    assert values == [(tag, i) for i in range(20) for tag in "ab"]
+    assert len(env._timeout_pool) <= 2
+    gc.collect()
+    for pool in (env._event_pool, env._timeout_pool):
+        for ev in pool:
+            assert ev.callbacks == []
+            assert ev._value is engine._PENDING
+            assert not ev._processed and not ev._scheduled
+
+
+def test_event_reuse_does_not_change_order(monkeypatch):
+    # Recycled events must replay exactly what fresh ones do.
+    def drive(limit):
+        monkeypatch.setattr(engine, "_POOL_LIMIT", limit)
+        env = Environment()
+        log = []
+
+        def looper(name):
+            for i in range(30):
+                v = yield env.timeout(0.002, value=i)
+                log.append((name, v, env.now))
+
+        env.process(looper("x"))
+        env.process(looper("y"))
+        env.run()
+        return log, env.now, env.steps
+
+    fresh = drive(0)
+    assert len(fresh[0]) == 60
+    assert drive(2) == fresh
+    assert drive(1024) == fresh
+
+
+# -- run(until=...) segments ------------------------------------------------
+
+_DELAYS = st.sampled_from([0.0, 1e-6, 0.001, 0.0013, 0.01, 0.05, 0.5, 3.0])
+
+
+def _segmented_run(workers, interrupts, event_fires, horizons):
+    """Drive a mixed workload through ``run(until=h)`` per horizon, then
+    ``run()``; returns the event log, the final clock and the step count."""
+    env = Environment()
+    log = []
+
+    def worker(wid, delays, reps):
+        try:
+            for r in range(reps):
+                for j, d in enumerate(delays):
+                    yield d
+                    log.append(("t", wid, r, j, env.now))
+        except Interrupt as exc:
+            log.append(("intr", wid, str(exc), env.now))
+
+    def waiter(wid, ev):
+        log.append(("woke", wid, (yield ev), env.now))
+
+    def kill(victim, at):
+        yield at
+        if victim.is_alive:
+            victim.interrupt("k")
+
+    procs = [env.process(worker(wid, delays, reps))
+             for wid, (delays, reps) in enumerate(workers)]
+    for victim, at in interrupts:
+        env.process(kill(procs[victim % len(procs)], at))
+    for wid, at in enumerate(event_fires):
+        ev = env.event()
+        env.process(waiter(wid, ev))
+        env.schedule_callback(at, lambda ev=ev, wid=wid: ev.succeed(wid))
+    for h in horizons:
+        env.run(until=h)
+        assert env.now == h
+    env.run()
+    return log, env.now, env.steps
+
+
+@given(workers=st.lists(
+           st.tuples(st.lists(_DELAYS, min_size=1, max_size=6),
+                     st.integers(min_value=1, max_value=4)),
+           min_size=1, max_size=6),
+       interrupts=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=5), _DELAYS),
+           max_size=3),
+       event_fires=st.lists(_DELAYS, max_size=3),
+       horizons=st.lists(
+           st.sampled_from([0.0, 1e-6, 0.0005, 0.004, 0.02, 0.4, 2.5, 50.0]),
+           max_size=4).map(sorted))
+@settings(max_examples=60, deadline=None)
+def test_run_until_segments_equal_one_run(workers, interrupts, event_fires,
+                                          horizons):
+    whole = _segmented_run(workers, interrupts, event_fires, [])
+    log, now, steps = _segmented_run(workers, interrupts, event_fires,
+                                     horizons)
+    assert log == whole[0]
+    assert steps == whole[2]
+    # A horizon past the last event leaves the clock at the horizon.
+    assert now == max([whole[1]] + horizons)
+
+
+def test_run_until_pauses_inside_same_time_backlog():
+    # Three processes share every timestamp; a horizon on one of them
+    # drains that whole batch, and a horizon between batches moves only
+    # the clock.
+    env = Environment()
+
+    def tick():
+        for _ in range(10):
+            yield 0.25
+
+    for _ in range(3):
+        env.process(tick())
+    env.run(until=1.0)
+    # 3 Initialize + the 3 timers at each of 0.25, 0.5, 0.75 and 1.0.
+    assert (env.now, env.steps) == (1.0, 15)
+    env.run(until=1.1)
+    assert (env.now, env.steps) == (1.1, 15)
+    env.run()
+    # + the 18 remaining timers and 3 process completions.
+    assert (env.now, env.steps) == (2.5, 36)
+
+
+def _mixed_workload(env, log):
+    """Timers, events, interrupts, callbacks, a same-time re-arm and a
+    far-future timer in one simulation."""
+
+    def worker(name, delay, n):
+        for i in range(n):
+            yield delay
+            log.append(("tick", name, i, env.now))
+
+    def waiter(name, ev):
+        log.append(("woke", name, (yield ev), env.now))
+
+    def sleeper(name, delay):
+        try:
+            yield delay
+            log.append(("slept", name, env.now))
+        except Interrupt as i:
+            log.append(("intr", name, str(i), env.now))
+
+    def far(name):
+        yield 1e6
+        log.append(("far", name, env.now))
+
+    def interrupter(victims, delay):
+        yield delay
+        for v in victims:
+            if v.is_alive:
+                v.interrupt("bang")
+
+    def chainer(name):
+        v = yield env.timeout(0.013, value="tv")
+        log.append(("chain1", name, v, env.now))
+        yield 0.0
+        log.append(("chain2", name, env.now))
+        ev = env.event()
+        env.schedule_callback(0.004, lambda: ev.succeed(42))
+        log.append(("chain3", name, (yield ev), env.now))
+
+    evs = [env.event() for _ in range(3)]
+    for i, d in enumerate((0.001, 0.0017, 0.01, 0.05)):
+        env.process(worker(f"w{i}", d, 40), name=f"w{i}")
+    for i, ev in enumerate(evs):
+        env.process(waiter(f"wa{i}", ev), name=f"wa{i}")
+    env.schedule_callback(0.0123, lambda: evs[0].succeed("a"))
+    env.schedule_callback(0.0123, lambda: evs[1].succeed("b"))
+    env.schedule_callback(0.5, lambda: evs[2].succeed("c"))
+    vic = [env.process(sleeper(f"s{i}", 0.02 + i * 0.001), name=f"s{i}")
+           for i in range(4)]
+    env.process(interrupter(vic[2:], 0.021))
+    env.process(far("f0"))
+    env.process(chainer("c0"))
+
+
+def test_mixed_workload_identical_across_horizons():
+    def drive(horizons):
+        env = Environment()
+        log = []
+        _mixed_workload(env, log)
+        for h in horizons:
+            env.run(until=h)
+            assert env.now == h
+        env.run()
+        return log, env.now, env.steps
+
+    whole = drive([])
+    assert len(whole[0]) > 100
+    assert drive([0.0105, 0.02, 0.0213, 0.3, 2.0]) == whole
+    assert whole[1] == 1e6
+    kinds = {entry[0] for entry in whole[0]}
+    assert kinds == {"tick", "woke", "slept", "intr", "far",
+                     "chain1", "chain2", "chain3"}
+
+
+def _interrupt_storm(seed, horizons):
+    """Re-arming sleepers under a seeded storm of interrupts; every cancel
+    leaves a stale timer entry.  The rng is drawn inside process code, so
+    the log replays only if the dispatch order does."""
+    import random
+
+    rng = random.Random(seed)
+    env = Environment()
+    log = []
+
+    def sleeper(i):
+        while True:
+            try:
+                yield rng.random() * 0.01
+                log.append(("s", i, env.now))
+                if env.now > 0.05:
+                    return
+            except Interrupt:
+                log.append(("i", i, env.now))
+
+    procs = [env.process(sleeper(i)) for i in range(8)]
+
+    def chaos():
+        for _ in range(12):
+            yield rng.random() * 0.005
+            victim = procs[rng.randrange(len(procs))]
+            if victim.is_alive:
+                victim.interrupt()
+
+    env.process(chaos())
+    for h in horizons:
+        env.run(until=h)
+    env.run()
+    return log, env.now, env.steps
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       horizons=st.lists(
+           st.sampled_from([0.0005, 0.003, 0.01, 0.03, 0.05]),
+           max_size=3).map(sorted))
+@settings(max_examples=15, deadline=None)
+def test_seeded_interrupt_storm_segments_equal_one_run(seed, horizons):
+    whole = _interrupt_storm(seed, [])
+    assert _interrupt_storm(seed, horizons) == whole
